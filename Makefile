@@ -5,7 +5,7 @@ GOLANGCI ?= golangci-lint
 COVER_FLOOR ?= 75
 COVER_PKGS = ./setcontain/... ./internal/stats/...
 
-.PHONY: all build vet test bench bench-baseline bench-compare fuzz-smoke lint cover check linkcheck vet-examples serve snapshot-smoke crash-smoke scatter-smoke clean
+.PHONY: all build vet test bench bench-tier1 bench-baseline bench-compare perfbench-check fuzz-smoke lint cover check linkcheck vet-examples serve snapshot-smoke crash-smoke scatter-smoke clean
 
 all: check
 
@@ -26,7 +26,9 @@ bench:
 # Tier-1 hot-path benchmarks: the CPU-performance gate of the README's
 # "CPU performance" section, plus the expression planner's
 # planned-vs-naive pair and the streaming-execution trio
-# (streaming-vs-materializing, limit early exit, batch CSE).
+# (streaming-vs-materializing, limit early exit, batch CSE). This is the
+# list's only definition: bench-tier1 runs it, bench-compare derives
+# its filter from it, and the CI bench-smoke job calls bench-tier1.
 TIER1_BENCH = BenchmarkSubset|BenchmarkEquality|BenchmarkSuperset|BenchmarkExprPlanner|BenchmarkExprStream|BenchmarkExprLimit|BenchmarkExprCSE
 BENCH_TIME ?= 500x
 # Samples per benchmark; benchjson keeps the fastest (min ns/op), which
@@ -35,27 +37,39 @@ BENCH_COUNT ?= 5
 # ns/op regression tolerance for bench-compare, in percent.
 BENCH_TOLERANCE ?= 10
 
-# Refresh the checked-in CPU baseline: BENCH_PR3.json (standardized
-# ns/op, allocs/op, pages/op, decoded-hit-rate per benchmark) plus its
-# raw-text twin for benchstat.
-bench-baseline:
-	$(GO) test -run '^$$' -bench '$(TIER1_BENCH)' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -benchmem . \
-		| tee BENCH_PR3.txt | $(GO) run ./cmd/benchjson > BENCH_PR3.json
+# Run the tier-1 set: raw output in bench-new.txt, the standardized
+# per-benchmark JSON (ns/op, allocs/op, pages/op, decoded-hit-rate;
+# schema setcontain-bench/v1, see cmd/benchjson) in bench-new.json. The
+# raw output goes to a file rather than a pipe so a failing or
+# non-compiling benchmark fails the target.
+bench-tier1:
+	$(GO) test -run '^$$' -bench '$(TIER1_BENCH)' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -benchmem . > bench-new.txt
+	$(GO) run ./cmd/benchjson < bench-new.txt > bench-new.json
+
+# Refresh the checked-in CPU baseline: BENCH_PR3.json plus its raw-text
+# twin for benchstat.
+bench-baseline: bench-tier1
+	cp bench-new.txt BENCH_PR3.txt
+	cp bench-new.json BENCH_PR3.json
 
 # Compare a fresh tier-1 run against the checked-in baseline, failing on
 # >$(BENCH_TOLERANCE)% ns/op regression. benchstat summarises the raw
 # runs when installed; the pass/fail gate is benchjson -compare either
 # way (no external dependency).
-bench-compare:
-	$(GO) test -run '^$$' -bench '$(TIER1_BENCH)' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -benchmem . \
-		| tee bench-new.txt | $(GO) run ./cmd/benchjson > bench-new.json
+bench-compare: bench-tier1
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat BENCH_PR3.txt bench-new.txt; \
 	else \
 		echo "benchstat not installed; skipping statistical summary"; \
 	fi
 	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_TOLERANCE) \
-		-filter '^Benchmark(Subset|Equality|Superset|ExprPlanner|ExprStream|ExprLimit|ExprCSE)' BENCH_PR3.json bench-new.json
+		-filter '^($(TIER1_BENCH))' BENCH_PR3.json bench-new.json
+
+# The end-to-end serving benchmark is a module of its own (perfbench/,
+# driven by perfbench/run.py); vet and self-test it against the current
+# tree so API drift that breaks the benchmark fails CI, not a run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short coverage-guided runs of every fuzz target (go allows one -fuzz
 # target per invocation): the expression-grammar round-trip fuzzer, the

@@ -113,7 +113,6 @@ func main() {
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "log bytes between automatic checkpoints (0 = 64MB, negative disables)")
 
 		maxBatch    = flag.Int("maxbatch", 0, "max queries per coalesced dispatch (0 = 64)")
-		linger      = flag.Duration("linger", 0, "max wait to fill a batch (0 = 500µs, negative disables)")
 		maxPending  = flag.Int("maxpending", 0, "admission bound on queued queries (0 = 4x maxbatch)")
 		dispatchers = flag.Int("dispatchers", 0, "concurrent batch executors (0 = GOMAXPROCS)")
 		chunk       = flag.Int("chunk", 0, "ids per NDJSON response line (0 = 4096)")
@@ -251,7 +250,6 @@ func main() {
 
 	sv := serve.NewServer(idx, store, serve.Config{
 		MaxBatch:    *maxBatch,
-		MaxLinger:   *linger,
 		MaxPending:  *maxPending,
 		Dispatchers: *dispatchers,
 		ChunkIDs:    *chunk,

@@ -6,7 +6,8 @@
 //     for every bundle (outer), find the baskets (inner) whose item set
 //     contains it.
 //   - "Baskets with bread and milk but no candles, drawn entirely from
-//     groceries" is a composite predicate: AllOf + NoneOf + Within.
+//     groceries" is a composite predicate: a boolean expression
+//     And(subset, superset, Not(Or(forbidden items))).
 package main
 
 import (
@@ -66,20 +67,25 @@ func main() {
 		}
 	}
 
-	// Containment join: bundle ⊆ basket.
+	// Containment join: bundle ⊆ basket. An index-nested-loops join is
+	// just a loop over the outer relation, each record probing the
+	// inner index with one containment query.
 	var pairs, bestBundle int
 	var bestCount int
-	err = idx.JoinInto(bundles, setcontain.PredicateSubset,
-		func(bundleID uint32, basketIDs []uint32) error {
-			pairs += len(basketIDs)
-			if len(basketIDs) > bestCount {
-				bestCount = len(basketIDs)
-				bestBundle = int(bundleID)
-			}
-			return nil
-		})
-	if err != nil {
-		log.Fatal(err)
+	for bundleID := uint32(1); int(bundleID) <= bundles.Len(); bundleID++ {
+		set, err := bundles.Record(bundleID)
+		if err != nil {
+			log.Fatal(err)
+		}
+		basketIDs, err := idx.Eval(setcontain.SubsetQuery(set))
+		if err != nil {
+			log.Fatal(err)
+		}
+		pairs += len(basketIDs)
+		if len(basketIDs) > bestCount {
+			bestCount = len(basketIDs)
+			bestBundle = int(bundleID)
+		}
 	}
 	bestSet, _ := bundles.Record(uint32(bestBundle))
 	fmt.Printf("containment join: %d bundles x %d baskets -> %d qualifying pairs\n",
@@ -88,17 +94,20 @@ func main() {
 		bestBundle, bestSet, bestCount)
 
 	// Composite predicate: baskets with items 3 AND 7, without item 0,
-	// drawn entirely from the 100 most popular products.
+	// drawn entirely from the 100 most popular products — one boolean
+	// expression over the three containment predicates.
 	within := make([]setcontain.Item, 100)
 	for i := range within {
 		within[i] = setcontain.Item(i)
 	}
-	q := setcontain.Composite{
-		AllOf:  []setcontain.Item{3, 7},
-		NoneOf: []setcontain.Item{0},
-		Within: within,
-	}
-	ids, err := idx.Query(q)
+	q := setcontain.And(
+		setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{3, 7})),
+		setcontain.ExprOf(setcontain.SupersetQuery(within)),
+		setcontain.Not(setcontain.Or(
+			setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{0})),
+		)),
+	)
+	ids, err := idx.EvalExpr(q)
 	if err != nil {
 		log.Fatal(err)
 	}

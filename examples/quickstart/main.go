@@ -90,7 +90,7 @@ func main() {
 	// Large answers can be consumed as a stream instead of a slice: here
 	// the single-item subset of {a} — the most frequent item — iterated
 	// lazily and abandoned after the first three ids.
-	seq, err := idx.SubsetSeq([]setcontain.Item{a})
+	seq, err := setcontain.SubsetQuery([]setcontain.Item{a}).EvalSeq(idx)
 	if err != nil {
 		log.Fatal(err)
 	}

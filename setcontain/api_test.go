@@ -2,6 +2,7 @@ package setcontain
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"slices"
 	"strings"
@@ -104,12 +105,19 @@ func TestSeqVariantsMatchSlices(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		seq, err := ix.SubsetSeq(items)
+		seq, err := SubsetQuery(items).EvalSeq(ix)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		if got := slices.Collect(seq); !slices.Equal(got, want) {
-			t.Errorf("%v: SubsetSeq = %v, want %v", kind, got, want)
+			t.Errorf("%v: EvalSeq = %v, want %v", kind, got, want)
+		}
+		storeSeq, err := NewStore(ix, 0).ExecSeq(context.Background(), ExprOf(SubsetQuery(items)), 0)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if got := slices.Collect(storeSeq); !slices.Equal(got, want) {
+			t.Errorf("%v: Store.ExecSeq = %v, want %v", kind, got, want)
 		}
 		// Early abandonment is allowed and re-iteration yields the same
 		// prefix (the sequence is replayable).

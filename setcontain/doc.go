@@ -33,7 +33,7 @@
 //	q := setcontain.Query{Pred: setcontain.PredicateSubset, Items: items}
 //	ids, err := q.Eval(idx)
 //
-// The …Seq variants (SubsetSeq, EvalSeq, …) return the answer as a lazy
+// Query.EvalSeq (and Store.ExecSeq) return the answer as a lazy
 // iter.Seq[uint32] for callers that stream rather than materialize, and
 // the Append… variants write answers into a caller-owned slice on the
 // zero-allocation hot path. Query.String and ParseQuery round-trip the

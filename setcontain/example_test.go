@@ -101,14 +101,14 @@ func ExampleStore_ExecBatchAppend() {
 	store := setcontain.NewStore(idx, 0)
 
 	items := []setcontain.BatchItem{
-		{Query: setcontain.SubsetQuery([]setcontain.Item{3})},
-		{Query: setcontain.SupersetQuery([]setcontain.Item{2, 3})},
+		{Expr: setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{3}))},
+		{Expr: setcontain.ExprOf(setcontain.SupersetQuery([]setcontain.Item{2, 3}))},
 	}
 	if _, err := store.ExecBatchAppend(context.Background(), items); err != nil {
 		log.Fatal(err)
 	}
 	for _, it := range items {
-		fmt.Println(it.Query, it.Out)
+		fmt.Println(it.Expr, it.Out)
 	}
 	// Output:
 	// subset{3} [1 2 3 4]

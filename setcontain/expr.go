@@ -20,7 +20,7 @@ import (
 // unites, and NOT complements against the universe of live record ids
 // (the answer of subset{} — the empty query matches every record, with
 // tombstoned ids already masked). Evaluation orders are planned
-// cost-based by PlanExpr / Store.ExecExpr; Expr.Eval is the naive
+// cost-based by PlanExpr / Store.ExecExprAppend; Expr.Eval is the naive
 // left-to-right reference.
 type Expr struct {
 	// Op is the node type; the zero value (OpLeaf) makes the zero Expr

@@ -288,8 +288,8 @@ func TestErrUnknownPredicateUnified(t *testing.T) {
 		t.Errorf("Expr.Eval: %v, want bare ErrUnknownPredicate", err)
 	}
 	s := NewStore(ix, 0)
-	if _, err := s.ExecExpr(context.Background(), badExpr); !errors.Is(err, ErrUnknownPredicate) {
-		t.Errorf("ExecExpr: %v, want ErrUnknownPredicate", err)
+	if _, err := s.ExecExprAppend(context.Background(), nil, badExpr); !errors.Is(err, ErrUnknownPredicate) {
+		t.Errorf("ExecExprAppend: %v, want ErrUnknownPredicate", err)
 	}
 }
 
@@ -311,16 +311,16 @@ func TestStoreExecExpr(t *testing.T) {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		s := NewStore(ix, 0)
-		got, err := s.ExecExpr(ctx, e)
+		got, err := s.ExecExprAppend(ctx, nil, e)
 		if err != nil {
-			t.Fatalf("%v: ExecExpr: %v", kind, err)
+			t.Fatalf("%v: ExecExprAppend: %v", kind, err)
 		}
 		direct, err := ix.EvalExpr(e)
 		if err != nil {
 			t.Fatalf("%v: EvalExpr: %v", kind, err)
 		}
 		if !reflect.DeepEqual(got, direct) {
-			t.Fatalf("%v: ExecExpr and EvalExpr diverge (%d vs %d ids)", kind, len(got), len(direct))
+			t.Fatalf("%v: ExecExprAppend and EvalExpr diverge (%d vs %d ids)", kind, len(got), len(direct))
 		}
 		if want == nil {
 			want = got
@@ -332,9 +332,9 @@ func TestStoreExecExpr(t *testing.T) {
 		}
 
 		// Seq form agrees with the slice form.
-		seq, err := s.ExecExprSeq(ctx, e)
+		seq, err := s.ExecSeq(ctx, e, 0)
 		if err != nil {
-			t.Fatalf("%v: ExecExprSeq: %v", kind, err)
+			t.Fatalf("%v: ExecSeq: %v", kind, err)
 		}
 		var seqIDs []uint32
 		for id := range seq {
@@ -348,9 +348,9 @@ func TestStoreExecExpr(t *testing.T) {
 		// a planned expression (counters unchanged from before).
 		preLeaf := s.ExprStats()
 		leaf := ExprOf(SubsetQuery([]Item{1, 2}))
-		viaExpr, err := s.ExecExpr(ctx, leaf)
+		viaExpr, err := s.ExecExprAppend(ctx, nil, leaf)
 		if err != nil {
-			t.Fatalf("%v: one-leaf ExecExpr: %v", kind, err)
+			t.Fatalf("%v: one-leaf ExecExprAppend: %v", kind, err)
 		}
 		viaExec, err := s.Exec(ctx, SubsetQuery([]Item{1, 2}))
 		if err != nil {
@@ -366,8 +366,8 @@ func TestStoreExecExpr(t *testing.T) {
 		// A cancelled context refuses evaluation.
 		cctx, cancel := context.WithCancel(ctx)
 		cancel()
-		if _, err := s.ExecExpr(cctx, e); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: cancelled ExecExpr: %v", kind, err)
+		if _, err := s.ExecExprAppend(cctx, nil, e); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: cancelled ExecExprAppend: %v", kind, err)
 		}
 	}
 }

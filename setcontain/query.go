@@ -152,14 +152,31 @@ func (q Query) EvalAppend(dst []uint32, t Queryable) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append(dst, ids...), nil
+	return appendAnswer(dst, ids), nil
 }
 
-// EvalSeq answers the query as a lazy sequence; see Index.SubsetSeq for
-// the streaming contract. The error covers evaluation up front: a
-// non-nil sequence never fails mid-iteration, yields ascending unique
-// record ids, may be ranged over at most once, and may be abandoned
-// early at no cost. An invalid predicate returns the bare
+// appendAnswer appends a freshly computed answer to dst; when dst has
+// no backing array to preserve, the answer itself is handed out.
+func appendAnswer(dst, ids []uint32) []uint32 {
+	if cap(dst) == 0 {
+		return ids
+	}
+	return append(dst, ids...)
+}
+
+// EvalSeq answers the query as a lazy sequence, for callers that
+// stream large answer sets instead of holding the whole id slice:
+//
+//	seq, err := setcontain.SubsetQuery(qs).EvalSeq(idx)
+//	for id := range seq { ... }
+//
+// The contract: the error covers evaluation up front, so a non-nil
+// sequence never fails mid-iteration; it yields record ids ascending
+// and without duplicates; it is single-use (range over it at most
+// once); and iteration may be abandoned early at no cost. The current
+// engines compute the full answer before the sequence yields (their
+// final sort/remap steps need it); the iterator surface frees callers
+// from that detail. An invalid predicate returns the bare
 // ErrUnknownPredicate sentinel.
 func (q Query) EvalSeq(t Queryable) (iter.Seq[uint32], error) {
 	return seqOf(q.Eval(t))
@@ -177,33 +194,4 @@ func seqOf(ids []uint32, err error) (iter.Seq[uint32], error) {
 			}
 		}
 	}, nil
-}
-
-// SubsetSeq returns the Subset answer as an iter.Seq, for callers that
-// stream large answer sets instead of holding the whole id slice:
-//
-//	seq, err := idx.SubsetSeq(qs)
-//	for id := range seq { ... }
-//
-// The contract: the error covers evaluation up front, so a non-nil
-// sequence never fails mid-iteration; it yields record ids ascending
-// and without duplicates; it is single-use (range over it at most
-// once); and iteration may be abandoned early at no cost. The current
-// engines compute the full answer before the sequence yields (their
-// final sort/remap steps need it); the iterator surface frees callers
-// from that detail and is the contract future incremental engines
-// stream through. The slice forms remain as the materializing
-// convenience.
-func (ix *Index) SubsetSeq(qs []Item) (iter.Seq[uint32], error) {
-	return seqOf(ix.eng.Subset(qs))
-}
-
-// EqualitySeq streams the Equality answer; see SubsetSeq.
-func (ix *Index) EqualitySeq(qs []Item) (iter.Seq[uint32], error) {
-	return seqOf(ix.eng.Equality(qs))
-}
-
-// SupersetSeq streams the Superset answer; see SubsetSeq.
-func (ix *Index) SupersetSeq(qs []Item) (iter.Seq[uint32], error) {
-	return seqOf(ix.eng.Superset(qs))
 }

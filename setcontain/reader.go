@@ -1,8 +1,6 @@
 package setcontain
 
 import (
-	"iter"
-
 	"repro/internal/core"
 	"repro/internal/storage"
 )
@@ -51,7 +49,7 @@ func (r *Reader) AppendSubset(dst []uint32, qs []Item) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append(dst, ids...), nil
+	return appendAnswer(dst, ids), nil
 }
 
 // AppendEquality appends the Equality answer to dst; see AppendSubset.
@@ -63,7 +61,7 @@ func (r *Reader) AppendEquality(dst []uint32, qs []Item) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append(dst, ids...), nil
+	return appendAnswer(dst, ids), nil
 }
 
 // AppendSuperset appends the Superset answer to dst; see AppendSubset.
@@ -75,7 +73,7 @@ func (r *Reader) AppendSuperset(dst []uint32, qs []Item) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append(dst, ids...), nil
+	return appendAnswer(dst, ids), nil
 }
 
 // EvalAppend answers a first-class Query in append form.
@@ -93,21 +91,6 @@ func (r *Reader) DecodedCacheStats() DecodedCacheStats {
 		return decodedStatsOf(ds.DecodedStats())
 	}
 	return DecodedCacheStats{}
-}
-
-// SubsetSeq streams the Subset answer; see Index.SubsetSeq.
-func (r *Reader) SubsetSeq(qs []Item) (iter.Seq[uint32], error) {
-	return seqOf(r.r.Subset(qs))
-}
-
-// EqualitySeq streams the Equality answer; see Index.EqualitySeq.
-func (r *Reader) EqualitySeq(qs []Item) (iter.Seq[uint32], error) {
-	return seqOf(r.r.Equality(qs))
-}
-
-// SupersetSeq streams the Superset answer; see Index.SupersetSeq.
-func (r *Reader) SupersetSeq(qs []Item) (iter.Seq[uint32], error) {
-	return seqOf(r.r.Superset(qs))
 }
 
 // CacheStats returns this reader's private access statistics.

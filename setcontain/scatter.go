@@ -10,7 +10,7 @@ import (
 )
 
 // The scatter-gather executor is the one fan-out/merge engine behind
-// every sharded execution path — Store.Exec*, ExecExpr*, the limit
+// every sharded execution path — the Store's Exec forms, the limit
 // pushdown, and the engine-level predicate calls. It is transport
 // agnostic: the per-shard callback may hit an in-process engine, an
 // in-process ShardClient, or a remote HTTP shard; the executor only

@@ -26,13 +26,8 @@ type Config struct {
 	// MaxBatch caps the queries coalesced into one dispatch through
 	// Store.ExecBatchAppend (default 64).
 	MaxBatch int
-	// MaxLinger bounds how long a dispatcher waits for more queries to
-	// join a non-full batch (default 500µs). Zero keeps the default;
-	// negative disables lingering — batches then form only from queries
-	// already queued.
-	MaxLinger time.Duration
-	// MaxPending bounds queued-but-undispatched queries; beyond it Do
-	// fails fast with ErrSaturated (default 4×MaxBatch).
+	// MaxPending bounds queued-but-undispatched queries; beyond it
+	// DoExprLimit fails fast with ErrSaturated (default 4×MaxBatch).
 	MaxPending int
 	// Dispatchers is the number of concurrent batch executors, each
 	// driving one pooled Store reader at a time (default GOMAXPROCS).
@@ -59,12 +54,6 @@ func (c Config) Filled() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.MaxLinger == 0 {
-		c.MaxLinger = 500 * time.Microsecond
-	}
-	if c.MaxLinger < 0 {
-		c.MaxLinger = 0
-	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 4 * c.MaxBatch
 	}
@@ -79,14 +68,10 @@ func (c Config) Filled() Config {
 
 // waiter carries one query through the batcher: the request fields its
 // submitter fills, and the result fields the dispatcher publishes
-// before signalling done. A non-nil expr routes the waiter through the
-// expression batch path (shared-subtree caching, optional limit)
-// instead of the single-predicate one. Waiters recycle through a
-// sync.Pool, so the warm path submits and completes queries without
-// allocating.
+// before signalling done. Waiters recycle through a sync.Pool, so the
+// warm path submits and completes queries without allocating.
 type waiter struct {
 	ctx   context.Context
-	q     setcontain.Query
 	expr  *setcontain.Expr
 	limit int
 	dst   []uint32
@@ -96,14 +81,20 @@ type waiter struct {
 	done chan struct{} // capacity 1; recycled with the waiter
 }
 
-func (w *waiter) reset() {
-	w.ctx, w.q, w.expr, w.limit = nil, setcontain.Query{}, nil, 0
-	w.dst, w.out, w.err = nil, nil, nil
+// finish publishes the result and signals the submitter. The send never
+// blocks: a submitter that gave up leaves the buffered slot unread.
+func (w *waiter) finish(out []uint32, err error) {
+	w.out, w.err = out, err
+	select {
+	case w.done <- struct{}{}:
+	default:
+	}
 }
 
 // Batcher coalesces concurrent queries into micro-batches dispatched
 // through Store.ExecBatchAppend. Create one with NewBatcher; submit
-// with Do; stop with Close. All methods are safe for concurrent use.
+// with DoExprLimit; stop with Close. All methods are safe for
+// concurrent use.
 type Batcher struct {
 	store *setcontain.Store
 	cfg   Config
@@ -149,80 +140,39 @@ func (b *Batcher) Close() {
 	b.wg.Wait()
 }
 
-// Do submits one query and blocks until its batch executes or ctx ends.
-// The answer is appended to dst and the extended slice returned, as by
-// Store.ExecAppend — but the execution is shared: the query rides
-// whatever micro-batch the dispatchers form around it.
+// DoExprLimit submits one boolean expression and blocks until its batch
+// executes or ctx ends. The answer — truncated to its first `limit` ids
+// with early-exit evaluation (0 means no limit, negative fails with
+// setcontain.ErrNegativeLimit) — is appended to dst and the extended
+// slice returned, as by Store.ExecExprLimitAppend; a plain query is the
+// one-leaf setcontain.ExprOf(q). The execution is shared: the query
+// rides whatever micro-batch the dispatchers form around it, where hot
+// lists decode once per batch and subtrees shared across the batch
+// evaluate once (the cross-query subexpression cache).
 //
 // Ownership of dst transfers to the batcher for the duration of the
 // call, and the returned slice tells the caller whether it came back:
 // a non-nil return (every normal completion, including query errors —
 // the untouched dst is handed back then) supersedes dst and is the
-// caller's again; a nil return means Do gave up waiting (ctx ended, or
-// the batcher closed) while a dispatcher may still be writing into dst
-// — the buffer is forfeited and must not be reused.
-func (b *Batcher) Do(ctx context.Context, dst []uint32, q setcontain.Query) ([]uint32, error) {
-	if err := ctx.Err(); err != nil {
-		return dst, err
-	}
-	if b.closed.Load() {
-		return dst, ErrClosed
-	}
-	w := b.getWaiter()
-	w.ctx, w.q, w.dst = ctx, q, dst
-	return b.submit(ctx, w, dst)
-}
-
-// DoExpr submits one boolean expression with the same coalescing,
-// admission control, and buffer contract as Do. A one-leaf expression
-// rides the single-predicate batch path; multi-leaf expressions join
-// the same micro-batches through Store.ExecExprBatchAppend, where
-// subtrees shared across the batch evaluate once on the shared warm
-// reader (the cross-query subexpression cache).
-func (b *Batcher) DoExpr(ctx context.Context, dst []uint32, e *setcontain.Expr) ([]uint32, error) {
-	return b.DoExprLimit(ctx, dst, e, 0)
-}
-
-// DoExprLimit submits one boolean expression whose answer is truncated
-// to its first `limit` ids with early-exit evaluation (0 means no
-// limit, negative returns setcontain.ErrNegativeLimit); otherwise
-// exactly DoExpr.
+// caller's again; a nil return means DoExprLimit gave up waiting (ctx
+// ended, or the batcher closed) while a dispatcher may still be
+// writing into dst — the buffer is forfeited and must not be reused.
 func (b *Batcher) DoExprLimit(ctx context.Context, dst []uint32, e *setcontain.Expr, limit int) ([]uint32, error) {
-	if limit < 0 {
-		return dst, setcontain.ErrNegativeLimit
-	}
-	if limit == 0 {
-		if q, ok := e.AsQuery(); ok {
-			return b.Do(ctx, dst, q)
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return dst, err
 	}
 	if b.closed.Load() {
 		return dst, ErrClosed
 	}
-	w := b.getWaiter()
-	w.ctx, w.expr, w.limit, w.dst = ctx, e, limit, dst
-	return b.submit(ctx, w, dst)
-}
-
-func (b *Batcher) getWaiter() *waiter {
 	w, _ := b.waiters.Get().(*waiter)
 	if w == nil {
 		w = &waiter{done: make(chan struct{}, 1)}
 	}
-	return w
-}
-
-// submit enqueues an already-filled waiter and blocks for its result —
-// the admission and completion halves shared by Do and DoExprLimit.
-func (b *Batcher) submit(ctx context.Context, w *waiter, dst []uint32) ([]uint32, error) {
+	w.ctx, w.expr, w.limit, w.dst = ctx, e, limit, dst
 	select {
 	case b.reqCh <- w:
 	default:
-		w.reset()
-		b.waiters.Put(w)
+		b.recycle(w)
 		b.rejected.Add(1)
 		return dst, ErrSaturated
 	}
@@ -234,8 +184,7 @@ func (b *Batcher) submit(ctx context.Context, w *waiter, dst []uint32) ([]uint32
 			// the caller's buffer back with the error.
 			out = dst
 		}
-		w.reset()
-		b.waiters.Put(w)
+		b.recycle(w)
 		return out, err
 	case <-ctx.Done():
 		// The dispatcher still owns w (it will signal the buffered done
@@ -249,16 +198,20 @@ func (b *Batcher) submit(ctx context.Context, w *waiter, dst []uint32) ([]uint32
 	}
 }
 
+func (b *Batcher) recycle(w *waiter) {
+	w.ctx, w.expr, w.limit = nil, nil, 0
+	w.dst, w.out, w.err = nil, nil, nil
+	b.waiters.Put(w)
+}
+
 // run is one dispatcher: collect a batch, execute it, publish results.
+// items is the dispatcher's reusable Store.ExecBatchAppend arena.
 func (b *Batcher) run() {
 	defer b.wg.Done()
 	batch := make([]*waiter, 0, b.cfg.MaxBatch)
 	items := make([]setcontain.BatchItem, b.cfg.MaxBatch)
-	eitems := make([]setcontain.ExprBatchItem, b.cfg.MaxBatch)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	timer := time.NewTimer(batchWindow)
+	timer.Stop()
 	for {
 		select {
 		case <-b.ctx.Done():
@@ -268,115 +221,76 @@ func (b *Batcher) run() {
 			batch = append(batch, w)
 		}
 		batch = b.fill(batch, timer)
-		b.exec(batch, items, eitems)
+		b.exec(batch, items[:len(batch)])
 		batch = batch[:0]
 	}
 }
 
-// fill gathers more queued queries into batch: everything immediately
-// available, then — if the batch is still short and lingering is on —
-// whatever arrives within MaxLinger.
+// batchWindow bounds how long a dispatcher holding a short batch waits
+// for more arrivals before it executes. Without it, read capacity at
+// the SLO is CPU-bound and varies too much from run to run on a 2-vCPU
+// machine for the end-to-end benchmark to measure (docs/BENCHMARKS.md,
+// "Why the batch window stays").
+const batchWindow = 500 * time.Microsecond
+
+// fill adds the queries already queued, up to MaxBatch, then — while
+// the batch is still short — whatever arrives within batchWindow.
+// timer is the dispatcher's own, stopped between calls.
 func (b *Batcher) fill(batch []*waiter, timer *time.Timer) []*waiter {
-	limit := b.cfg.MaxBatch
-	for len(batch) < limit {
-		select {
-		case w := <-b.reqCh:
-			batch = append(batch, w)
-			continue
-		default:
-		}
-		break
-	}
-	if len(batch) >= limit || b.cfg.MaxLinger <= 0 {
+	batch = b.takeQueued(batch)
+	if len(batch) == b.cfg.MaxBatch {
 		return batch
 	}
-	timer.Reset(b.cfg.MaxLinger)
-	for len(batch) < limit {
+	timer.Reset(batchWindow)
+	for len(batch) < b.cfg.MaxBatch {
 		select {
 		case w := <-b.reqCh:
 			batch = append(batch, w)
 		case <-timer.C:
-			return batch // timer already drained
+			return batch
 		case <-b.ctx.Done():
-			break
-		}
-		if b.ctx.Err() != nil {
-			break
+			timer.Stop()
+			return batch
 		}
 	}
-	if !timer.Stop() {
+	timer.Stop()
+	return batch
+}
+
+func (b *Batcher) takeQueued(batch []*waiter) []*waiter {
+	for len(batch) < b.cfg.MaxBatch {
 		select {
-		case <-timer.C:
+		case w := <-b.reqCh:
+			batch = append(batch, w)
 		default:
+			return batch
 		}
 	}
 	return batch
 }
 
-// exec partitions the batch into plain queries and expressions,
-// dispatches each part through its batch entry point
-// (Store.ExecBatchAppend / Store.ExecExprBatchAppend — the latter
-// evaluates subtrees shared across the batch once), and publishes each
-// waiter's result. items and eitems are the dispatcher's reusable
-// arenas.
-func (b *Batcher) exec(batch []*waiter, items []setcontain.BatchItem, eitems []setcontain.ExprBatchItem) {
-	n := len(batch)
-	if n == 0 {
-		return
+// exec dispatches the batch through one Store.ExecBatchAppend call and
+// publishes each waiter's result. The counters advance before any
+// waiter is signalled, so /stats never lags a response it describes.
+func (b *Batcher) exec(batch []*waiter, items []setcontain.BatchItem) {
+	for i, w := range batch {
+		items[i] = setcontain.BatchItem{Ctx: w.ctx, Expr: w.expr, Limit: w.limit, Dst: w.dst}
 	}
-	nq, ne := 0, 0
-	for _, w := range batch {
-		if w.expr != nil {
-			eitems[ne] = setcontain.ExprBatchItem{Ctx: w.ctx, Expr: w.expr, Limit: w.limit, Dst: w.dst}
-			ne++
-		} else {
-			items[nq] = setcontain.BatchItem{Ctx: w.ctx, Query: w.q, Dst: w.dst}
-			nq++
-		}
+	processed, err := b.store.ExecBatchAppend(b.ctx, items)
+	if err != nil && b.closed.Load() {
+		err = ErrClosed
 	}
-	var qProcessed, eProcessed int
-	var qErr, eErr error
-	if nq > 0 {
-		qProcessed, qErr = b.store.ExecBatchAppend(b.ctx, items[:nq])
-	}
-	if ne > 0 {
-		eProcessed, eErr = b.store.ExecExprBatchAppend(b.ctx, eitems[:ne])
-	}
-	if b.closed.Load() {
-		if qErr != nil {
-			qErr = ErrClosed
-		}
-		if eErr != nil {
-			eErr = ErrClosed
-		}
-	}
-	iq, ie := 0, 0
-	for _, w := range batch {
-		if w.expr != nil {
-			if ie < eProcessed {
-				w.out, w.err = eitems[ie].Out, eitems[ie].Err
-			} else {
-				w.out, w.err = nil, eErr
-			}
-			eitems[ie] = setcontain.ExprBatchItem{} // drop buffer references
-			ie++
-		} else {
-			if iq < qProcessed {
-				w.out, w.err = items[iq].Out, items[iq].Err
-			} else {
-				w.out, w.err = nil, qErr
-			}
-			items[iq] = setcontain.BatchItem{} // drop buffer references
-			iq++
-		}
-		select {
-		case w.done <- struct{}{}:
-		default:
-		}
-	}
-	b.queries.Add(int64(n))
+	b.queries.Add(int64(len(batch)))
 	b.batches.Add(1)
-	b.hist[n-1].Add(1)
+	b.hist[len(batch)-1].Add(1)
+	for i, w := range batch {
+		if i < processed {
+			w.finish(items[i].Out, items[i].Err)
+		} else {
+			w.finish(nil, err)
+		}
+		items[i] = setcontain.BatchItem{} // drop buffer references
+	}
 }
 
 // drain fails every still-queued query with ErrClosed after Close.
@@ -384,11 +298,7 @@ func (b *Batcher) drain() {
 	for {
 		select {
 		case w := <-b.reqCh:
-			w.out, w.err = nil, ErrClosed
-			select {
-			case w.done <- struct{}{}:
-			default:
-			}
+			w.finish(nil, ErrClosed)
 		default:
 			return
 		}
@@ -406,7 +316,7 @@ type BatcherStats struct {
 	Batches int64
 	// Rejected counts queries refused at admission with ErrSaturated.
 	Rejected int64
-	// Canceled counts Do calls abandoned by their caller's context
+	// Canceled counts DoExprLimit calls abandoned by their caller's context
 	// while queued or executing.
 	Canceled int64
 	// Pending is the queries queued awaiting dispatch at snapshot time

@@ -96,7 +96,7 @@ func TestBatcherAnswersMatchStore(t *testing.T) {
 		wg.Add(1)
 		go func(i int, q setcontain.Query) {
 			defer wg.Done()
-			got[i], errs[i] = b.Do(context.Background(), nil, q)
+			got[i], errs[i] = b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0)
 		}(i, q)
 	}
 	wg.Wait()
@@ -122,7 +122,6 @@ func TestBatcherCoalesces(t *testing.T) {
 	c, _, store := newTestStore(t)
 	b := serve.NewBatcher(store, serve.Config{
 		MaxBatch:    16,
-		MaxLinger:   2 * time.Millisecond,
 		Dispatchers: 1,
 	})
 	defer b.Close()
@@ -138,7 +137,7 @@ func TestBatcherCoalesces(t *testing.T) {
 			var buf []uint32
 			for r := 0; r < rounds; r++ {
 				q := queries[(w*rounds+r)%len(queries)]
-				out, err := b.Do(context.Background(), buf[:0], q)
+				out, err := b.DoExprLimit(context.Background(), buf[:0], setcontain.ExprOf(q), 0)
 				if err != nil {
 					t.Error(err)
 					return
@@ -166,6 +165,55 @@ func TestBatcherCoalesces(t *testing.T) {
 	if multi == 0 {
 		t.Errorf("no batch larger than one query recorded: hist %v", st.BatchSizes)
 	}
+}
+
+// TestBatcherStatsNeverLag pins the accounting order: the dispatcher
+// counts a batch before it signals any waiter, so a caller reading
+// Stats right after its own DoExprLimit returned always sees that
+// query counted.
+func TestBatcherStatsNeverLag(t *testing.T) {
+	c, _, store := newTestStore(t)
+	b := serve.NewBatcher(store, serve.Config{})
+	defer b.Close()
+	for i, q := range serveQueries(t, c, 50) {
+		if _, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0); err != nil {
+			t.Fatal(err)
+		}
+		st := b.Stats()
+		if st.Queries != int64(i+1) {
+			t.Fatalf("after %d sequential queries Stats().Queries = %d", i+1, st.Queries)
+		}
+		if st.Batches != int64(i+1) {
+			t.Fatalf("after %d sequential queries Stats().Batches = %d", i+1, st.Batches)
+		}
+	}
+
+	// Concurrent callers widen the window a wrong order would open: a
+	// batch signals many waiters, and each checks that every answer
+	// returned so far is already counted.
+	queries := serveQueries(t, c, 16)
+	base := b.Stats().Queries
+	var completed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				q := queries[(w+r)%len(queries)]
+				if _, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0); err != nil {
+					t.Error(err)
+					return
+				}
+				done := completed.Add(1)
+				if got := b.Stats().Queries - base; got < done {
+					t.Errorf("%d answers returned, Stats counts %d", done, got)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // blockingCtx is a context whose Err blocks from its second call until
@@ -216,7 +264,6 @@ func TestBatcherSaturation(t *testing.T) {
 		MaxBatch:    1,
 		MaxPending:  1,
 		Dispatchers: 1,
-		MaxLinger:   -1,
 	})
 	defer b.Close()
 
@@ -227,7 +274,7 @@ func TestBatcherSaturation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := b.Do(gate, nil, queries[0]); err != nil {
+		if _, err := b.DoExprLimit(gate, nil, setcontain.ExprOf(queries[0]), 0); err != nil {
 			t.Errorf("gated query: %v", err)
 			return
 		}
@@ -243,7 +290,7 @@ func TestBatcherSaturation(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			_, err := b.Do(context.Background(), nil, queries[1+w%4])
+			_, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(queries[1+w%4]), 0)
 			switch {
 			case err == nil:
 				served.Add(1)
@@ -312,7 +359,7 @@ func TestBatcherCancelMidExecution(t *testing.T) {
 	q := setcontain.SupersetQuery(wide)
 
 	ctx := newCountdownCtx(4)
-	_, err := b.Do(ctx, nil, q)
+	_, err := b.DoExprLimit(ctx, nil, setcontain.ExprOf(q), 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-execution cancel: got %v, want context.Canceled", err)
 	}
@@ -322,7 +369,7 @@ func TestBatcherCancelMidExecution(t *testing.T) {
 
 	// The batcher stays healthy: the same query on a live context
 	// answers normally.
-	if _, err := b.Do(context.Background(), nil, q); err != nil {
+	if _, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0); err != nil {
 		t.Fatalf("query after cancelled batchmate: %v", err)
 	}
 }
@@ -333,18 +380,18 @@ func TestBatcherClosed(t *testing.T) {
 	c, _, store := newTestStore(t)
 	b := serve.NewBatcher(store, serve.Config{})
 	q := serveQueries(t, c, 1)[0]
-	if _, err := b.Do(context.Background(), nil, q); err != nil {
+	if _, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
-	if _, err := b.Do(context.Background(), nil, q); !errors.Is(err, serve.ErrClosed) {
-		t.Errorf("Do after Close: got %v, want ErrClosed", err)
+	if _, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0); !errors.Is(err, serve.ErrClosed) {
+		t.Errorf("DoExprLimit after Close: got %v, want ErrClosed", err)
 	}
 	b.Close() // idempotent
 }
 
 // TestBatcherZeroAllocs is the serving-core allocation gate: a
-// steady-state query through Do — waiter recycling, batch dispatch,
+// steady-state query through DoExprLimit — waiter recycling, batch dispatch,
 // Store.ExecBatchAppend, answer append — must not allocate beyond the
 // caller's request decode/encode.
 func TestBatcherZeroAllocs(t *testing.T) {
@@ -355,29 +402,32 @@ func TestBatcherZeroAllocs(t *testing.T) {
 	store := setcontain.NewStore(idx, 2048)
 	b := serve.NewBatcher(store, serve.Config{
 		Dispatchers: 1,
-		MaxLinger:   -1, // dispatch immediately: the test is sequential
 	})
 	defer b.Close()
 
 	queries := serveQueries(t, c, 20)
+	exprs := make([]*setcontain.Expr, len(queries))
+	for i, q := range queries {
+		exprs[i] = setcontain.ExprOf(q)
+	}
 	ctx := context.Background()
 	// Warm: caches, arenas, waiter pool, and the answer buffer reach
 	// their high-water marks.
 	dst := make([]uint32, 0, 64)
 	var err error
 	for pass := 0; pass < 3; pass++ {
-		for _, q := range queries {
-			if dst, err = b.Do(ctx, dst[:0], q); err != nil {
+		for _, e := range exprs {
+			if dst, err = b.DoExprLimit(ctx, dst[:0], e, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
-	for _, q := range queries {
-		q := q
+	for i, q := range queries {
+		e := exprs[i]
 		allocs := testing.AllocsPerRun(50, func() {
 			var err error
-			dst, err = b.Do(ctx, dst[:0], q)
+			dst, err = b.DoExprLimit(ctx, dst[:0], e, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,13 @@
 // Package serve turns a setcontain.Store into a long-lived HTTP/JSON
 // query service — the serving layer behind cmd/setcontaind.
 //
-// The centrepiece is the Batcher: concurrent incoming queries coalesce
-// into micro-batches (bounded by Config.MaxBatch, gathered for at most
-// Config.MaxLinger) that dispatch through Store.ExecBatchAppend, so
-// fan-in traffic shares pooled readers, warm caches, and scratch arenas
+// The centrepiece is the Batcher: every query enters through one entry
+// point, Batcher.DoExprLimit, and concurrent queries coalesce into
+// micro-batches — whatever is queued when a dispatcher takes work, plus
+// whatever arrives within a fixed 500 µs window while the batch is
+// short, at most Config.MaxBatch — that dispatch through one
+// Store.ExecBatchAppend call each, so fan-in traffic shares pooled
+// readers, warm caches, scratch arenas, and shared subexpressions
 // instead of each request paying its own. This is exactly where the
 // paper's skew argument pays off at the serving tier: the hottest
 // inverted lists decode once per batch rather than once per query.
@@ -23,8 +26,8 @@
 // (`?q=subset{1 2} and not superset{3}`, URL-encoded), and a POST spec
 // carries either the structured {"pred","items"} pair or the same text
 // under {"expr"}. A plain predicate is the one-leaf degenerate
-// expression and behaves exactly as before: it rides the micro-batch
-// path. Multi-leaf expressions dispatch on a pooled reader through the
+// expression: without a limit it skips planning and runs the plain
+// query path inside its micro-batch. Other expressions go through the
 // store's cost-based planner, which orders AND legs rarest-first and
 // short-circuits the rest when an intermediate empties; /stats reports
 // that accounting under "planner". A query string that fails to parse
@@ -53,7 +56,7 @@
 // -snapshot` loads at boot — a warm daemon restarts without rebuilding
 // from the raw dataset.
 //
-// Answers stream as NDJSON chunks backed by the iter.Seq variants, so a
+// Answers stream as NDJSON chunks (GET /stream through Store.ExecSeq), so a
 // huge answer set never materializes in the response path. Admission is
 // bounded: when Config.MaxPending queries are already queued, new ones
 // are refused with ErrSaturated (HTTP 429) instead of growing an

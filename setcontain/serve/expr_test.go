@@ -45,7 +45,7 @@ func (h *httptestExpr) get(t *testing.T, path, q string) *http.Response {
 // GET /stream, byte-identical to the store's direct planned answer.
 func TestServerExprGet(t *testing.T) {
 	store, h, expr := exprFixture(t)
-	want, err := store.ExecExpr(context.Background(), expr)
+	want, err := store.ExecExprAppend(context.Background(), nil, expr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestServerExprPost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantExpr, err := store.ExecExpr(ctx, expr)
+	wantExpr, err := store.ExecExprAppend(ctx, nil, expr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestServerExprErrors(t *testing.T) {
 // malformed limit.
 func TestServerExprLimit(t *testing.T) {
 	store, h, expr := exprFixture(t)
-	want, err := store.ExecExpr(context.Background(), expr)
+	want, err := store.ExecExprAppend(context.Background(), nil, expr)
 	if err != nil {
 		t.Fatal(err)
 	}

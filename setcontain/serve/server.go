@@ -281,16 +281,16 @@ func (s *Server) writeIDs(ctx context.Context, enc *json.Encoder, query int, ids
 }
 
 // handleStream answers one ?q= query — a single predicate or a full
-// boolean expression — through the Store's iter.Seq streaming variant,
-// flushing each NDJSON chunk as it forms: the
-// response path holds at most one chunk of ids as JSON, so the client
-// can consume arbitrarily large answers incrementally. (The current
-// engines still compute the full answer slice before the sequence
-// yields — see Index.SubsetSeq for that contract; the handler inherits
-// engine-side streaming the day an engine provides it.) A client that
-// disconnects cancels the request context, which interrupts the Store
-// execution between list-block reads while the query is running and
-// stops the chunk loop once streaming has begun.
+// boolean expression — through Store.ExecSeq, flushing each NDJSON
+// chunk as it forms: the response path holds at most one chunk of ids
+// as JSON, so the client can consume arbitrarily large answers
+// incrementally. (The current engines still compute the full answer
+// slice before the sequence yields — see Query.EvalSeq for that
+// contract; the handler inherits engine-side streaming the day an
+// engine provides it.) A client that disconnects cancels the request
+// context, which interrupts the Store execution between list-block
+// reads while the query is running and stops the chunk loop once
+// streaming has begun.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "serve: GET only", http.StatusMethodNotAllowed)
@@ -307,12 +307,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	var seq iter.Seq[uint32]
-	if limit > 0 {
-		seq, err = s.store.ExecExprLimitSeq(ctx, expr, limit)
-	} else {
-		seq, err = s.store.ExecExprSeq(ctx, expr)
-	}
+	seq, err := s.store.ExecSeq(ctx, expr, limit)
 	if err != nil {
 		if ctx.Err() != nil {
 			s.streamsAborted.Add(1)

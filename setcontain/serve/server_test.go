@@ -334,7 +334,6 @@ func TestServerSaturation429(t *testing.T) {
 		MaxBatch:    1,
 		MaxPending:  1,
 		Dispatchers: 1,
-		MaxLinger:   -1,
 	})
 	queries := serveQueries(t, c, 3)
 
@@ -343,7 +342,7 @@ func TestServerSaturation429(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := srv.Batcher().Do(gate, nil, queries[0]); err != nil {
+		if _, err := srv.Batcher().DoExprLimit(gate, nil, setcontain.ExprOf(queries[0]), 0); err != nil {
 			t.Errorf("gated query: %v", err)
 		}
 	}()

@@ -194,16 +194,6 @@ var ErrNoSnapshots = errors.New("setcontain: engine does not support snapshots")
 // collection and does not snapshot.
 func (ix *Index) Save(w io.Writer) error { return ix.eng.Save(w) }
 
-// LoadIndex reconstructs an index from a snapshot produced by Save.
-// Only opts.CachePages is consulted (0 keeps the snapshot's recorded
-// cache budget).
-//
-// Deprecated: use Open, which reads the same container format and
-// accepts functional options.
-func LoadIndex(r io.Reader, opts Options) (*Index, error) {
-	return Open(r, WithCachePages(opts.CachePages))
-}
-
 // CacheStats reports the index's I/O behaviour since the last reset.
 // Counters are cumulative across MergeDelta: the post-merge cache is
 // seeded with the pre-merge totals.

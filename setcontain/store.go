@@ -291,18 +291,7 @@ func (s *Store) Stats() StoreStats {
 // and between list-block reads during it; the returned error is then
 // ctx.Err() (context.Canceled or context.DeadlineExceeded).
 func (s *Store) Exec(ctx context.Context, q Query) ([]uint32, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e, err := s.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer s.release(e)
-	if ctx.Done() != nil {
-		e.arm(ctx)
-	}
-	return q.Eval(e.r)
+	return s.exec(ctx, nil, job{q: q})
 }
 
 // ExecAppend answers q on a pooled reader, appending the answer to dst
@@ -312,6 +301,88 @@ func (s *Store) Exec(ctx context.Context, q Query) ([]uint32, error) {
 // is owned by the caller throughout; pooled readers never retain it.
 // Cancellation behaves exactly like Exec.
 func (s *Store) ExecAppend(ctx context.Context, dst []uint32, q Query) ([]uint32, error) {
+	return s.exec(ctx, dst, job{q: q})
+}
+
+// ExecExprAppend answers a boolean expression on a pooled reader with
+// planned evaluation, appending the answer to dst. A one-leaf
+// expression runs exactly like ExecAppend. Otherwise leaves evaluate
+// through the reader's zero-allocation Append path (streaming into the
+// accumulated candidate set where the engine supports it) and
+// intermediates recycle inside the reader's persistent evaluator; only
+// the final answer is copied into dst. Over a sharded index the plan
+// is pushed to every shard in parallel and the local answers merge in
+// global id order. Cancellation behaves like Exec, across every shard.
+func (s *Store) ExecExprAppend(ctx context.Context, dst []uint32, expr *Expr) ([]uint32, error) {
+	return s.execExpr(ctx, dst, expr, 0)
+}
+
+// ExecExprLimitAppend answers the first n ids of the expression's
+// answer — exactly the prefix of what ExecExprAppend would append —
+// stopping the evaluation as soon as n ids are produced: on
+// cursor-capable engines (the inverted file) postings past the stop
+// point are never decoded, and over a sharded index each shard
+// evaluates under the same per-shard limit before the k-way merge
+// truncates globally. n == 0 means no limit; a negative n returns
+// ErrNegativeLimit.
+func (s *Store) ExecExprLimitAppend(ctx context.Context, dst []uint32, expr *Expr, n int) ([]uint32, error) {
+	return s.execExpr(ctx, dst, expr, n)
+}
+
+// ExecSeq answers the first limit ids of the expression (0 = all) as a
+// lazy sequence. The evaluation runs eagerly under ctx like
+// ExecExprLimitAppend; iteration is then cancellation-free and follows
+// Query.EvalSeq's contract: ascending unique ids, single-use,
+// abandonable.
+func (s *Store) ExecSeq(ctx context.Context, expr *Expr, limit int) (iter.Seq[uint32], error) {
+	return seqOf(s.execExpr(ctx, nil, expr, limit))
+}
+
+// job is one query routed for execution on a pooled reader: a plain
+// containment query q when plan is nil, otherwise a planned expression
+// answered up to limit ids (0 = all).
+type job struct {
+	q     Query
+	expr  *Expr
+	plan  *ExprPlan
+	limit int
+}
+
+// route decides how an expression executes, and is the single home of
+// the plain-path rule: a one-leaf expression with no limit becomes a
+// plain query, which runs the reader's EvalAppend and skips planning
+// and ExprStats; anything else is planned against the store's cached
+// support profile.
+func (s *Store) route(expr *Expr, limit int) (job, error) {
+	if limit < 0 {
+		return job{}, ErrNegativeLimit
+	}
+	if q, ok := expr.AsQuery(); ok && limit == 0 {
+		return job{q: q}, nil
+	}
+	plan, err := PlanExpr(expr, s.Supports())
+	if err != nil {
+		return job{}, err
+	}
+	return job{expr: expr, plan: plan, limit: limit}, nil
+}
+
+// execExpr routes an expression and runs it through exec; a cancelled
+// ctx is refused before any planning work.
+func (s *Store) execExpr(ctx context.Context, dst []uint32, expr *Expr, limit int) ([]uint32, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	j, err := s.route(expr, limit)
+	if err != nil {
+		return nil, err
+	}
+	return s.exec(ctx, dst, j)
+}
+
+// exec is the single-call core every Exec form shares: acquire a pooled
+// reader, arm ctx, evaluate.
+func (s *Store) exec(ctx context.Context, dst []uint32, j job) ([]uint32, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -323,23 +394,37 @@ func (s *Store) ExecAppend(ctx context.Context, dst []uint32, q Query) ([]uint32
 	if ctx.Done() != nil {
 		e.arm(ctx)
 	}
-	return e.r.EvalAppend(dst, q)
+	return s.run(ctx, e, dst, j, nil)
 }
 
-// ExecSeq answers q as a lazy sequence; the query itself runs eagerly
-// under ctx like Exec, iteration is then cancellation-free.
-func (s *Store) ExecSeq(ctx context.Context, q Query) (iter.Seq[uint32], error) {
-	return seqOf(s.Exec(ctx, q))
+// run evaluates one routed job on the acquired reader e: the plain
+// query through the reader's EvalAppend, a planned expression through
+// the reader's persistent evaluator (with the batch's subexpression
+// cache, when there is one) or, over a sharded index, the scatter-gather
+// executor.
+func (s *Store) run(ctx context.Context, e *storeReader, dst []uint32, j job, cse *cseState) ([]uint32, error) {
+	if j.plan == nil {
+		return e.r.EvalAppend(dst, j.q)
+	}
+	if sr, ok := e.r.r.(*shardedReader); ok {
+		return s.execSharded(ctx, dst, j, sr)
+	}
+	ids, st, err := e.eval.run(dst, j.plan, e.r, cse, j.limit)
+	if err != nil {
+		return nil, err
+	}
+	s.noteExprEval(st)
+	return ids, nil
 }
 
 // ExecBatch answers the queries concurrently across pooled readers
 // (bounded by GOMAXPROCS) and returns the answers in query order. The
 // first error cancels the remaining queries and is returned; results
 // are nil in that case. A cancelled ctx aborts the whole batch with
-// ctx.Err().
+// ctx.Err(): an answer set is returned only when every query completed.
 func (s *Store) ExecBatch(ctx context.Context, qs []Query) ([][]uint32, error) {
-	if len(qs) == 0 {
-		return nil, ctx.Err()
+	if err := ctx.Err(); err != nil || len(qs) == 0 {
+		return nil, err
 	}
 	out := make([][]uint32, len(qs))
 	workers := runtime.GOMAXPROCS(0)
@@ -387,33 +472,40 @@ func (s *Store) ExecBatch(ctx context.Context, qs []Query) ([][]uint32, error) {
 		}()
 	}
 	wg.Wait()
+	// A worker that saw the caller's cancellation exits without an
+	// error of its own, leaving its remaining answers unset: report the
+	// cancellation rather than a partial result, and report it as such,
+	// not as the internal batch cancel it triggered in sibling workers.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if firstErr != nil {
-		// Report the caller's cancellation as such, not as the internal
-		// batch cancel it triggered in sibling workers.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		return nil, firstErr
 	}
 	return out, nil
 }
 
-// BatchItem is one query of an ExecBatchAppend call: the query, its
-// caller-owned append target, and (after the call) its answer or error.
+// BatchItem is one query of an ExecBatchAppend call: the expression,
+// an optional first-n limit, its caller-owned append target, and (after
+// the call) its answer or error.
 type BatchItem struct {
 	// Ctx optionally scopes this item alone: a cancelled or expired
 	// per-item context fails the item with its error without disturbing
 	// the rest of the batch. Nil means the batch context governs.
 	Ctx context.Context
-	// Query is the containment query to answer.
-	Query Query
+	// Expr is the boolean expression to answer; a plain Query is the
+	// one-leaf ExprOf(q).
+	Expr *Expr
+	// Limit truncates the answer to its first Limit ids; 0 means the
+	// full answer, negative fails the item with ErrNegativeLimit.
+	Limit int
 	// Dst is the append target; the answer is appended to it, and the
 	// extended slice is returned in Out. The caller owns Dst throughout.
 	Dst []uint32
 	// Out receives the extended Dst slice on success, nil on error.
 	Out []uint32
 	// Err receives this item's error: nil, the per-item context's
-	// error, or the engine's query error.
+	// error, a planning error, or the engine's query error.
 	Err error
 }
 
@@ -424,8 +516,18 @@ type BatchItem struct {
 // one: the reader is acquired once, every query reuses its scratch
 // arenas and warm page/decoded caches (hot lists decode once per batch,
 // not once per query), and answers append into the caller-owned Dst
-// slices, so a steady-state batch over a warm OIF store performs no
-// heap allocations at all.
+// slices, so a steady-state batch of one-leaf queries over a warm OIF
+// store performs no heap allocations at all.
+//
+// Items route like ExecExprLimitAppend: a one-leaf expression without a
+// limit runs the plain query path, everything else is planned. Beyond
+// the shared warm reader, planned items get common-subexpression
+// elimination: plan subtrees whose canonical form repeats across the
+// batch (a hot `subset` leg shared by several queries, a common filter
+// conjunction) evaluate once, and every later occurrence reuses the
+// cached answer. The hit/miss/saved-leaf counters surface through
+// ExprStats. Over a sharded index each planned item fans out to the
+// shards individually — the cache applies to single-engine stores.
 //
 // Per-item results land in items[i].Out / items[i].Err; a failed item
 // does not disturb its batchmates. The returned count is how many items
@@ -442,6 +544,26 @@ func (s *Store) ExecBatchAppend(ctx context.Context, items []BatchItem) (int, er
 	if len(items) == 0 {
 		return 0, nil
 	}
+	// Route every item up front: the subexpression cache needs the
+	// whole batch's plans. The plan slice exists only when some item
+	// is planned, keeping a batch of plain queries allocation-free.
+	var plans []*ExprPlan
+	for i := range items {
+		it := &items[i]
+		it.Out, it.Err = nil, nil
+		j, err := s.route(it.Expr, it.Limit)
+		if err != nil {
+			it.Err = err
+			continue
+		}
+		if j.plan != nil {
+			if plans == nil {
+				plans = make([]*ExprPlan, len(items))
+			}
+			plans[i] = j.plan
+		}
+	}
+	cse := collectCSE(plans)
 	e, err := s.acquire()
 	if err != nil {
 		return 0, err
@@ -457,12 +579,15 @@ func (s *Store) ExecBatchAppend(ctx context.Context, items []BatchItem) (int, er
 			return i, err
 		}
 		it := &items[i]
+		if it.Err != nil {
+			continue // routing already failed the item
+		}
 		ictx := it.Ctx
 		if ictx == nil {
 			ictx = ctx
 		}
 		if err := ictx.Err(); err != nil {
-			it.Out, it.Err = nil, err
+			it.Err = err
 			continue
 		}
 		if !armed && (ictx.Done() != nil || ctx.Done() != nil) {
@@ -472,7 +597,15 @@ func (s *Store) ExecBatchAppend(ctx context.Context, items []BatchItem) (int, er
 		if armed {
 			e.item = ictx
 		}
-		it.Out, it.Err = e.r.EvalAppend(it.Dst, it.Query)
+		j := job{expr: it.Expr, limit: it.Limit}
+		if plans != nil {
+			j.plan = plans[i]
+		}
+		if j.plan == nil {
+			j.q = it.Expr.Leaf // routed to the plain path: a one-leaf expression
+		}
+		it.Out, it.Err = s.run(ictx, e, it.Dst, j, cse)
 	}
+	s.noteCSE(cse)
 	return len(items), nil
 }

@@ -18,7 +18,7 @@ import (
 //   - Lazy leaf cursors: on an inverted file a subset leaf decodes its
 //     postings on demand (subsetCursorer); a limit-bounded evaluation
 //     that stops after n ids never touches the bytes it didn't reach.
-//   - Cross-query subexpression caching: ExecExprBatchAppend
+//   - Cross-query subexpression caching: Store.ExecBatchAppend
 //     canonicalizes plan subtrees across one micro-batch and evaluates
 //     each distinct shared subtree once (cseState).
 //
@@ -74,23 +74,7 @@ func (evr *Evaluator) Eval(p *ExprPlan, t Queryable) ([]uint32, ExprEvalStats, e
 // evaluator's free list, which persists across calls — the reuse that
 // makes steady-state evaluation allocation-free.
 func (evr *Evaluator) EvalAppend(dst []uint32, p *ExprPlan, t Queryable) ([]uint32, ExprEvalStats, error) {
-	ev := evr.newEval(t)
-	ids, owned, err := ev.eval(p.Root)
-	if err != nil {
-		return nil, ev.stats, err
-	}
-	if cap(dst) == 0 && owned {
-		// No backing array to preserve: hand the result buffer out
-		// directly (it leaves the free list, which simply grows a fresh
-		// one next time).
-		if ids == nil {
-			ids = []uint32{}
-		}
-		return ids, ev.stats, nil
-	}
-	out := append(dst, ids...)
-	ev.put(ids, owned)
-	return out, ev.stats, nil
+	return evr.run(dst, p, t, nil, 0)
 }
 
 // EvalLimitAppend answers the first `limit` ids of the planned
@@ -105,25 +89,51 @@ func (evr *Evaluator) EvalAppend(dst []uint32, p *ExprPlan, t Queryable) ([]uint
 // The result is exactly the first `limit` ids of the unlimited answer
 // (ascending, unique).
 func (evr *Evaluator) EvalLimitAppend(dst []uint32, p *ExprPlan, t Queryable, limit int) ([]uint32, ExprEvalStats, error) {
-	if limit <= 0 {
-		return evr.EvalAppend(dst, p, t)
-	}
+	return evr.run(dst, p, t, nil, limit)
+}
+
+// run is the one evaluation routine behind every planned entry point:
+// the plan against t, appended to dst, with a batch's shared
+// subexpression cache when cse is non-nil (shared subtrees materialize
+// through it, so batchmates reuse them), cursor-driven up to `limit`
+// ids when limit > 0.
+func (evr *Evaluator) run(dst []uint32, p *ExprPlan, t Queryable, cse *cseState, limit int) ([]uint32, ExprEvalStats, error) {
 	ev := evr.newEval(t)
-	cur, err := ev.cursor(p.Root)
-	if err != nil {
-		return nil, ev.stats, err
-	}
-	for n := 0; n < limit; n++ {
-		id, ok, err := cur.Next()
+	ev.cse = cse
+	if limit > 0 {
+		cur, err := ev.cursor(p.Root)
 		if err != nil {
 			return nil, ev.stats, err
 		}
-		if !ok {
-			break
+		for n := 0; n < limit; n++ {
+			id, ok, err := cur.Next()
+			if err != nil {
+				return nil, ev.stats, err
+			}
+			if !ok {
+				break
+			}
+			dst = append(dst, id)
 		}
-		dst = append(dst, id)
+		return dst, ev.stats, nil
 	}
-	return dst, ev.stats, nil
+	ids, owned, err := ev.eval(p.Root)
+	if err != nil {
+		return nil, ev.stats, err
+	}
+	if cap(dst) == 0 && owned {
+		// No backing array to preserve: hand the result buffer out
+		// directly (it leaves the free list, which simply grows a fresh
+		// one next time). Cached batch results are never owned, so they
+		// stay private to the batch.
+		if ids == nil {
+			ids = []uint32{}
+		}
+		return ids, ev.stats, nil
+	}
+	out := append(dst, ids...)
+	ev.put(ids, owned)
+	return out, ev.stats, nil
 }
 
 // newEval starts one evaluation against t, discovering t's streaming
@@ -346,6 +356,9 @@ func planCanon(n *PlanNode, b *strings.Builder) {
 // cache, or nil when no subtree repeats (the common case costs one tree
 // walk and no per-node overhead during evaluation).
 func collectCSE(plans []*ExprPlan) *cseState {
+	if plans == nil {
+		return nil // nothing planned: a batch of plain queries
+	}
 	count := make(map[string]int)
 	keyOf := make(map[*PlanNode]string)
 	var walk func(n *PlanNode)
@@ -374,38 +387,4 @@ func collectCSE(plans []*ExprPlan) *cseState {
 		return nil
 	}
 	return &cseState{keys: shared, cache: make(map[string][]uint32)}
-}
-
-// evalCSE evaluates one batch item's plan against t with the batch's
-// shared subexpression cache; a positive limit runs the cursor-driven
-// early exit (shared subtrees still materialize through the cache, so
-// batchmates reuse them). The answer is always copied into dst: cached
-// slices must stay private to the batch.
-func (evr *Evaluator) evalCSE(dst []uint32, p *ExprPlan, t Queryable, cse *cseState, limit int) ([]uint32, ExprEvalStats, error) {
-	ev := evr.newEval(t)
-	ev.cse = cse
-	if limit > 0 {
-		cur, err := ev.cursor(p.Root)
-		if err != nil {
-			return nil, ev.stats, err
-		}
-		for n := 0; n < limit; n++ {
-			id, ok, err := cur.Next()
-			if err != nil {
-				return nil, ev.stats, err
-			}
-			if !ok {
-				break
-			}
-			dst = append(dst, id)
-		}
-		return dst, ev.stats, nil
-	}
-	ids, owned, err := ev.eval(p.Root)
-	if err != nil {
-		return nil, ev.stats, err
-	}
-	out := append(dst, ids...)
-	ev.put(ids, owned)
-	return out, ev.stats, nil
 }

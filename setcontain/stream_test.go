@@ -162,38 +162,38 @@ func TestStoreExecExprLimit(t *testing.T) {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		s := NewStore(ix, 0)
-		full, err := s.ExecExpr(ctx, e)
+		full, err := s.ExecExprAppend(ctx, nil, e)
 		if err != nil {
-			t.Fatalf("%v: ExecExpr: %v", kind, err)
+			t.Fatalf("%v: ExecExprAppend: %v", kind, err)
 		}
 		if len(full) == 0 {
 			t.Fatalf("%v: workload answered no ids; test needs a wide answer", kind)
 		}
 		for _, n := range []int{0, 1, 5, len(full), len(full) + 9} {
-			got, err := s.ExecExprLimit(ctx, e, n)
+			got, err := s.ExecExprLimitAppend(ctx, nil, e, n)
 			if err != nil {
-				t.Fatalf("%v: ExecExprLimit(%d): %v", kind, n, err)
+				t.Fatalf("%v: ExecExprLimitAppend(%d): %v", kind, n, err)
 			}
 			want := full
 			if n > 0 && n < len(full) {
 				want = full[:n]
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: ExecExprLimit(%d): got %d ids, want %d", kind, n, len(got), len(want))
+				t.Fatalf("%v: ExecExprLimitAppend(%d): got %d ids, want %d", kind, n, len(got), len(want))
 			}
 		}
-		seq, err := s.ExecExprLimitSeq(ctx, e, 4)
+		seq, err := s.ExecSeq(ctx, e, 4)
 		if err != nil {
-			t.Fatalf("%v: ExecExprLimitSeq: %v", kind, err)
+			t.Fatalf("%v: ExecSeq: %v", kind, err)
 		}
 		var seqIDs []uint32
 		for id := range seq {
 			seqIDs = append(seqIDs, id)
 		}
 		if !reflect.DeepEqual(seqIDs, full[:4]) {
-			t.Fatalf("%v: ExecExprLimitSeq: got %v, want %v", kind, seqIDs, full[:4])
+			t.Fatalf("%v: ExecSeq: got %v, want %v", kind, seqIDs, full[:4])
 		}
-		if _, err := s.ExecExprLimit(ctx, e, -1); !errors.Is(err, ErrNegativeLimit) {
+		if _, err := s.ExecExprLimitAppend(ctx, nil, e, -1); !errors.Is(err, ErrNegativeLimit) {
 			t.Fatalf("%v: negative limit: %v, want ErrNegativeLimit", kind, err)
 		}
 	}
@@ -288,16 +288,16 @@ func TestExecExprBatchCSE(t *testing.T) {
 		shared + " or equality{5}",
 		shared + " or subset{6 7}",
 	}
-	items := make([]ExprBatchItem, len(exprTexts))
+	items := make([]BatchItem, len(exprTexts))
 	want := make([][]uint32, len(exprTexts))
 	for i, txt := range exprTexts {
 		e, err := ParseExpr(txt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		items[i] = ExprBatchItem{Expr: e}
-		if want[i], err = s.ExecExpr(ctx, e); err != nil {
-			t.Fatalf("ExecExpr %q: %v", txt, err)
+		items[i] = BatchItem{Expr: e}
+		if want[i], err = s.ExecExprAppend(ctx, nil, e); err != nil {
+			t.Fatalf("ExecExprAppend %q: %v", txt, err)
 		}
 	}
 	// One limited item on top: the cursor path must coexist with CSE.
@@ -306,9 +306,9 @@ func TestExecExprBatchCSE(t *testing.T) {
 		want[3] = want[3][:2]
 	}
 	pre := s.ExprStats()
-	n, err := s.ExecExprBatchAppend(ctx, items)
+	n, err := s.ExecBatchAppend(ctx, items)
 	if err != nil || n != len(items) {
-		t.Fatalf("ExecExprBatchAppend: n=%d err=%v", n, err)
+		t.Fatalf("ExecBatchAppend: n=%d err=%v", n, err)
 	}
 	for i := range items {
 		if items[i].Err != nil {
@@ -338,7 +338,7 @@ func TestExecExprBatchCSE(t *testing.T) {
 	for i := range items {
 		items[i].Out, items[i].Dst, items[i].Err = nil, nil, nil
 	}
-	if _, err := s.ExecExprBatchAppend(ctx, items); err != nil {
+	if _, err := s.ExecBatchAppend(ctx, items); err != nil {
 		t.Fatal(err)
 	}
 	st2 := s.ExprStats()
@@ -348,7 +348,7 @@ func TestExecExprBatchCSE(t *testing.T) {
 	}
 	// Negative limit surfaces per item, failing the whole call's item.
 	items[0].Limit = -1
-	if _, err := s.ExecExprBatchAppend(ctx, items); err != nil {
+	if _, err := s.ExecBatchAppend(ctx, items); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(items[0].Err, ErrNegativeLimit) {

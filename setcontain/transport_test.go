@@ -168,18 +168,12 @@ func TestTransportEquivalence(t *testing.T) {
 			}
 		}
 		for ei, ec := range exprs {
-			want, err := variants[0].store.ExecExprLimit(ctx, ec.expr, ec.limit)
-			if ec.limit == 0 {
-				want, err = variants[0].store.ExecExpr(ctx, ec.expr)
-			}
+			want, err := variants[0].store.ExecExprLimitAppend(ctx, nil, ec.expr, ec.limit)
 			if err != nil {
 				t.Fatalf("%s: %s expr %d (%s): %v", stage, variants[0].name, ei, ec.expr, err)
 			}
 			for _, v := range variants[1:] {
-				got, err := v.store.ExecExprLimit(ctx, ec.expr, ec.limit)
-				if ec.limit == 0 {
-					got, err = v.store.ExecExpr(ctx, ec.expr)
-				}
+				got, err := v.store.ExecExprLimitAppend(ctx, nil, ec.expr, ec.limit)
 				if err != nil {
 					t.Fatalf("%s: %s expr %d (%s): %v", stage, v.name, ei, ec.expr, err)
 				}
@@ -233,8 +227,8 @@ func TestTransportEquivalence(t *testing.T) {
 		if _, err := v.store.Exec(canceled, queries[0]); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: canceled Exec: %v, want context.Canceled", v.name, err)
 		}
-		if _, err := v.store.ExecExpr(canceled, exprs[0].expr); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: canceled ExecExpr: %v, want context.Canceled", v.name, err)
+		if _, err := v.store.ExecExprAppend(canceled, nil, exprs[0].expr); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: canceled ExecExprAppend: %v, want context.Canceled", v.name, err)
 		}
 	}
 }
